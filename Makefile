@@ -8,8 +8,8 @@ GO ?= go
 
 RACE_PKGS = ./internal/par/ ./internal/trace/ ./internal/core/ ./internal/world/ ./internal/eval/ ./internal/experiments/ ./internal/mcn/ ./internal/scenario/ ./cmd/stormsim/
 
-# Per-target fuzzing time for fuzz-smoke (two targets, so the total
-# fuzzing wall clock is twice this). CI raises it to 15s per target.
+# Per-target fuzzing time for fuzz-smoke (four targets, so the total
+# fuzzing wall clock is four times this). CI raises it to 15s per target.
 FUZZTIME ?= 15s
 
 .PHONY: check fmt vet build lint fix test race allocs fuzz-smoke scenarios shardcheck audit bench experiments
@@ -61,13 +61,16 @@ race:
 allocs:
 	$(GO) test -run 'SteadyStateAllocs' ./internal/core/ ./internal/world/
 
-# Coverage-guided fuzzing over the two external input surfaces: the
-# scenario JSON parser (seeded from scenarios/*.json) and the
-# partialfit/1 binary decoder (seeded from fresh encodings). Both
-# targets assert decode→encode round-trip byte stability.
+# Coverage-guided fuzzing over the external input surfaces: the
+# scenario JSON parser (seeded from scenarios/*.json), the partialfit/1
+# binary decoder (seeded from fresh encodings), and the text and binary
+# trace readers. Every target asserts that bad input errors instead of
+# panicking and that accepted input survives a decode→encode round trip.
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseScenario$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^FuzzDecodePartial$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^FuzzReadTrace$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^FuzzReadBinaryTrace$$' -fuzz '^FuzzReadBinaryTrace$$' -fuzztime $(FUZZTIME) ./internal/trace/
 
 # Smoke-run every starter scenario through stormsim at reduced scale:
 # validation, world simulation, storm replay, and the byte-identity

@@ -17,9 +17,10 @@
 // behavioral world simulator and are ignored here — the fitted model
 // carries its own rates and mix.
 //
-// With -stream the per-UE generators are merged and written
-// incrementally — peak memory is O(UEs), not the trace size — producing
-// byte-identical output to the in-memory path.
+// With -stream the per-UE generators are assembled one time window at a
+// time and written incrementally — peak memory is the per-UE state plus
+// one window, not the trace size — producing byte-identical output to
+// the in-memory path.
 package main
 
 import (
@@ -53,7 +54,7 @@ func main() {
 		hoFactor  = flag.Float64("hofactor", 0, "handover scaling override (0 = paper default)")
 		out       = flag.String("o", "-", "output trace ('-' for stdout)")
 		binOut    = flag.Bool("binary", false, "write the compact binary trace format")
-		stream    = flag.Bool("stream", false, "generate and write incrementally (O(UEs) memory, identical output)")
+		stream    = flag.Bool("stream", false, "generate and write incrementally (memory: per-UE state plus one assembly window; identical output)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)

@@ -13,9 +13,10 @@
 // flags are rejected; the fault schedule is applied by cmd/stormsim,
 // not here.
 //
-// With -stream the population is simulated and written incrementally —
-// peak memory is O(UEs), not the trace size — producing byte-identical
-// output to the in-memory path.
+// With -stream the population is simulated and written incrementally,
+// one time window at a time — peak memory is the per-UE state plus one
+// window, not the trace size — producing byte-identical output to the
+// in-memory path.
 package main
 
 import (
@@ -90,7 +91,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed")
 		out     = flag.String("o", "-", "output file ('-' for stdout)")
 		binOut  = flag.Bool("binary", false, "write the compact binary trace format")
-		stream  = flag.Bool("stream", false, "simulate and write incrementally (O(UEs) memory, identical output)")
+		stream  = flag.Bool("stream", false, "simulate and write incrementally (memory: per-UE state plus one assembly window; identical output)")
 		phones  = flag.Float64("phones", -1, "phone share override (with -cars, -tablets)")
 		cars    = flag.Float64("cars", -1, "connected-car share override")
 		tabs    = flag.Float64("tablets", -1, "tablet share override")

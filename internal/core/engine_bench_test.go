@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkEngineStep isolates the steady-state cost of one generated
-// event in each engine — no merging, no sorting, no trace assembly —
+// event in each engine — no sorting, no trace assembly —
 // so the compiled/interpreted ratio here is the pure stepping speedup
 // that BenchmarkGenerateThroughput (root package) then reports diluted
 // by the shared pipeline overhead.
@@ -25,11 +25,14 @@ func BenchmarkEngineStep(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		seed := uint64(1)
-		g := newUEGen(cm, cd, 1, stats.NewRNGVal(seed), 0, window)
+		var g ueGen
+		g.init(cm, cd, 1, stats.NewRNGVal(seed), 0, window)
+		st := newStepper(&g)
 		for i := 0; i < b.N; i++ {
-			if _, ok := g.Next(); !ok {
+			if !st.step() {
 				seed++
-				g = newUEGen(cm, cd, 1, stats.NewRNGVal(seed), 0, window)
+				g.init(cm, cd, 1, stats.NewRNGVal(seed), 0, window)
+				st = newStepper(&g)
 			}
 		}
 	})

@@ -155,8 +155,9 @@ func bytesEqualModels(t *testing.T, a, b *ModelSet) bool {
 }
 
 func TestUEGenIteratorResumable(t *testing.T) {
-	// Next can be called after exhaustion without panicking, on both
-	// engines.
+	// Filling an exhausted generator again delivers nothing and keeps
+	// reporting exhaustion, and the interpreted oracle's Next can be
+	// called after exhaustion without panicking.
 	ms := fitToy(t, 10, cp.Hour, 94, FitOptions{})
 	dm := ms.Device(cp.Phone)
 	if dm == nil {
@@ -171,23 +172,36 @@ func TestUEGenIteratorResumable(t *testing.T) {
 	if cd == nil {
 		t.Fatal("compiled model lost the phone device")
 	}
-	its := map[string]trace.EventIterator{
-		"compiled":    newUEGen(cm, cd, 1, stats.NewRNGVal(1), 0, cp.Hour),
-		"interpreted": newUEInterp(m, dm, 1, stats.NewRNG(1), 0, cp.Hour),
+	var g ueGen
+	g.init(cm, cd, 1, stats.NewRNGVal(1), 0, cp.Hour)
+	evs, head := g.fillUntil(trace.NoLimit, nil)
+	if head != trace.NoLimit {
+		t.Fatalf("drained generator reports a next event at %d", head)
 	}
-	for name, g := range its {
-		n := 0
-		for {
-			_, ok := g.Next()
-			if !ok {
-				break
-			}
-			n++
+	for i := 0; i < 3; i++ {
+		more, head := g.fillUntil(trace.NoLimit, evs[:0])
+		if len(more) != 0 || head != trace.NoLimit {
+			t.Fatalf("compiled: exhausted generator produced %d events (head %d)", len(more), head)
 		}
-		for i := 0; i < 3; i++ {
-			if _, ok := g.Next(); ok {
-				t.Fatalf("%s: exhausted iterator produced an event", name)
-			}
+	}
+	it := newUEInterp(m, dm, 1, stats.NewRNG(1), 0, cp.Hour)
+	n := 0
+	for {
+		ev, ok := it.Next()
+		if !ok {
+			break
+		}
+		if n >= len(evs) || ev != evs[n] {
+			t.Fatalf("interpreted event %d = %v differs from compiled", n, ev)
+		}
+		n++
+	}
+	if n != len(evs) {
+		t.Fatalf("interpreted %d events, compiled %d", n, len(evs))
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := it.Next(); ok {
+			t.Fatal("interpreted: exhausted iterator produced an event")
 		}
 	}
 }

@@ -187,92 +187,6 @@ func TestTraceWriteBatchChecksRegistry(t *testing.T) {
 	}
 }
 
-// stutterIterator yields a fixed event sequence but only one event per
-// NextRun call — the adversarial run boundary for MergeBatches.
-type stutterIterator struct{ evs []Event }
-
-func (s *stutterIterator) NextRun(dst []Event) int {
-	if len(s.evs) == 0 || len(dst) == 0 {
-		return 0
-	}
-	dst[0] = s.evs[0]
-	s.evs = s.evs[1:]
-	return 1
-}
-
-// TestMergeBatchesMatchesMergeScan pins that the batch-refill merge is
-// byte-identical to the per-event merge for random run sets, and that
-// run boundaries (down to one event per refill) cannot affect the output.
-func TestMergeBatchesMatchesMergeScan(t *testing.T) {
-	r := stats.NewRNG(42)
-	for round := 0; round < 30; round++ {
-		k := r.Intn(40) // 0..39 streams
-		runs := make([][]Event, k)
-		for i := range runs {
-			n := r.Intn(150)
-			evs := make([]Event, n)
-			for j := range evs {
-				evs[j] = Event{
-					T:    cp.Millis(r.Intn(5000)),
-					UE:   cp.UEID(i),
-					Type: cp.EventType(r.Intn(cp.NumEventTypes)),
-				}
-			}
-			tmp := Trace{Events: evs}
-			tmp.Sort()
-			runs[i] = tmp.Events
-		}
-		var want []Event
-		its := make([]EventIterator, k)
-		for i := range runs {
-			its[i] = &SliceIterator{Events: runs[i]}
-		}
-		if err := MergeScan(func(e Event) error {
-			want = append(want, e)
-			return nil
-		}, its); err != nil {
-			t.Fatal(err)
-		}
-		for name, mk := range map[string]func(i int) BatchIterator{
-			"slice":   func(i int) BatchIterator { return &SliceIterator{Events: runs[i]} },
-			"stutter": func(i int) BatchIterator { return &stutterIterator{evs: runs[i]} },
-		} {
-			bits := make([]BatchIterator, k)
-			for i := range runs {
-				bits[i] = mk(i)
-			}
-			var got []Event
-			if err := MergeBatches(func(b *Batch) error {
-				got = b.AppendTo(got)
-				return nil
-			}, bits); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d (%s): MergeBatches differs from MergeScan (k=%d, n=%d vs %d)",
-					round, name, k, len(got), len(want))
-			}
-		}
-	}
-}
-
-func TestSliceIteratorNextRun(t *testing.T) {
-	evs := []Event{{T: 1}, {T: 2}, {T: 3}, {T: 4}, {T: 5}}
-	it := &SliceIterator{Events: evs}
-	buf := make([]Event, 2)
-	var got []Event
-	for {
-		n := it.NextRun(buf)
-		if n == 0 {
-			break
-		}
-		got = append(got, buf[:n]...)
-	}
-	if !reflect.DeepEqual(got, evs) {
-		t.Fatalf("NextRun sequence = %v", got)
-	}
-}
-
 // TestScannerScanBatch pins that the batched decode yields exactly the
 // per-event decode for both codecs, including ragged final batches.
 func TestScannerScanBatch(t *testing.T) {

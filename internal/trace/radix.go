@@ -18,9 +18,10 @@ import (
 // equal keys are identical events, so even ties cannot reorder distinct
 // records — at O(passes·n) with sequential memory traffic instead of
 // O(n log k) comparator work. Generate uses it to assemble per-worker
-// event runs without the loser tree; the key-width check falls back to a
-// comparison sort for pathological spans (centuries) or UE ids, which
-// produces the same bytes by definition of the key.
+// event runs, and the streaming sources use it window by window
+// (window.go); the key-width check falls back to a comparison sort for
+// pathological spans (centuries) or UE ids, which produces the same
+// bytes by definition of the key.
 
 // radixBits is the digit width per pass: 2048 counting buckets (8 KB per
 // pass histogram) stay L1-resident, and a one-hour ledger workload
@@ -39,11 +40,19 @@ const maxRadixPasses = (64 + radixBits - 1) / radixBits
 // evs is left untouched and the caller must sort another way. Any
 // timestamp below t0 also reports false.
 func RadixSortEvents(evs []Event, t0 cp.Millis) bool {
+	_, ok := radixSort(evs, t0, nil)
+	return ok
+}
+
+// radixSort is RadixSortEvents with a caller-owned scratch slice: tmp is
+// grown to len(evs) when shorter and returned for reuse, so a caller
+// sorting window after window allocates the scratch once.
+func radixSort(evs []Event, t0 cp.Millis, tmp []Event) ([]Event, bool) {
 	if len(evs) < 2 {
-		return true
+		return tmp, true
 	}
 	if len(evs) > 1<<31-1 {
-		return false // int32 bucket counters
+		return tmp, false // int32 bucket counters
 	}
 	// One validation sweep finds the actual widths, so the fit check is
 	// exact rather than worst-case.
@@ -51,7 +60,7 @@ func RadixSortEvents(evs []Event, t0 cp.Millis) bool {
 	maxUE := uint64(0)
 	for i := range evs {
 		if evs[i].T < t0 {
-			return false
+			return tmp, false
 		}
 		if d := uint64(evs[i].T - t0); d > maxDelta {
 			maxDelta = d
@@ -65,7 +74,7 @@ func RadixSortEvents(evs []Event, t0 cp.Millis) bool {
 	tBits := uint(bits.Len64(maxDelta))
 	totalBits := tBits + ueBits + typeBits
 	if totalBits > 64 {
-		return false
+		return tmp, false
 	}
 	ueShift := typeBits
 	tShift := typeBits + ueBits
@@ -83,7 +92,10 @@ func RadixSortEvents(evs []Event, t0 cp.Millis) bool {
 			hist[p][(key>>(uint(p)*radixBits))&(radixBuckets-1)]++
 		}
 	}
-	tmp := make([]Event, len(evs))
+	if cap(tmp) < len(evs) {
+		tmp = make([]Event, len(evs))
+	}
+	tmp = tmp[:len(evs)]
 	src, dst := evs, tmp
 	for p := 0; p < passes; p++ {
 		h := &hist[p]
@@ -105,5 +117,5 @@ func RadixSortEvents(evs []Event, t0 cp.Millis) bool {
 	if &src[0] != &evs[0] {
 		copy(evs, src)
 	}
-	return true
+	return tmp, true
 }

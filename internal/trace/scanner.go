@@ -427,9 +427,8 @@ const streamChunkSize = 1024
 // are framed in chunks with a zero terminator (format version 2) — so a
 // generator can pour an unbounded stream through O(1) writer state.
 type StreamWriter struct {
-	bw     *bufio.Writer
-	devs   []deviceEntry
-	devSet map[cp.UEID]cp.DeviceType
+	bw   *bufio.Writer
+	devs []deviceEntry // ascending UE order, the membership index
 
 	started bool // header + UE table written
 	closed  bool
@@ -444,10 +443,30 @@ type StreamWriter struct {
 
 // NewStreamWriter prepares an incremental binary trace writer on w.
 func NewStreamWriter(w io.Writer) *StreamWriter {
-	return &StreamWriter{
-		bw:     bufio.NewWriterSize(w, 1<<16),
-		devSet: make(map[cp.UEID]cp.DeviceType),
+	return &StreamWriter{bw: bufio.NewWriterSize(w, 1<<16)}
+}
+
+// device looks ue up in the ascending registry: one indexed load when
+// ids are dense from 0 (every generator and the world simulator
+// register UEs 0..n-1), a binary search otherwise.
+//
+//cplint:hotpath runs once per written event; no map, no allocation
+func (sw *StreamWriter) device(ue cp.UEID) (cp.DeviceType, bool) {
+	if int(ue) < len(sw.devs) && sw.devs[ue].UE == ue {
+		return sw.devs[ue].D, true
 	}
+	return sw.searchDevice(ue)
+}
+
+// searchDevice is device's binary search for sparse registries.
+//
+//cplint:coldpath sparse UE ids only; the dense registries of the generators and the world take device's indexed load
+func (sw *StreamWriter) searchDevice(ue cp.UEID) (cp.DeviceType, bool) {
+	i := sort.Search(len(sw.devs), func(i int) bool { return sw.devs[i].UE >= ue })
+	if i < len(sw.devs) && sw.devs[i].UE == ue {
+		return sw.devs[i].D, true
+	}
+	return 0, false
 }
 
 // SetDevice registers a UE. All registrations must precede the first
@@ -459,7 +478,7 @@ func (sw *StreamWriter) SetDevice(ue cp.UEID, d cp.DeviceType) error {
 	if !d.Valid() {
 		return fmt.Errorf("trace: invalid device type %d", d)
 	}
-	if prev, ok := sw.devSet[ue]; ok {
+	if prev, ok := sw.device(ue); ok {
 		if prev != d {
 			return fmt.Errorf("trace: UE %d already registered as %v, cannot change to %v", ue, prev, d)
 		}
@@ -468,7 +487,6 @@ func (sw *StreamWriter) SetDevice(ue cp.UEID, d cp.DeviceType) error {
 	if n := len(sw.devs); n > 0 && sw.devs[n-1].UE >= ue {
 		return fmt.Errorf("trace: UE %d registered out of order (after %d)", ue, sw.devs[n-1].UE)
 	}
-	sw.devSet[ue] = d
 	sw.devs = append(sw.devs, deviceEntry{UE: ue, D: d})
 	return nil
 }
@@ -513,7 +531,7 @@ func (sw *StreamWriter) Write(e Event) error {
 	if sw.closed {
 		return fmt.Errorf("trace: Write after Close")
 	}
-	if _, ok := sw.devSet[e.UE]; !ok {
+	if _, ok := sw.device(e.UE); !ok {
 		return fmt.Errorf("trace: event for unregistered UE %d", e.UE)
 	}
 	if e.T < 0 {
@@ -569,7 +587,7 @@ func (sw *StreamWriter) WriteBatch(b *Batch) error {
 	}
 	for i := range b.T {
 		e := Event{T: b.T[i], UE: b.UE[i], Type: b.Type[i]}
-		if _, ok := sw.devSet[e.UE]; !ok {
+		if _, ok := sw.device(e.UE); !ok {
 			return fmt.Errorf("trace: event for unregistered UE %d", e.UE)
 		}
 		if e.T < 0 {

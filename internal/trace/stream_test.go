@@ -2,12 +2,12 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -225,6 +225,53 @@ func TestStreamWriterRejectsBadInput(t *testing.T) {
 	})
 }
 
+// TestStreamWriterMembership pins the registry lookup behind every
+// written event, for dense ids (the indexed fast path) and sparse ids
+// (the binary search): re-registering an earlier UE with the same
+// device is a no-op, with a different device an error, and an event for
+// an unregistered UE is rejected by both Write and WriteBatch.
+func TestStreamWriterMembership(t *testing.T) {
+	for name, tc := range map[string]struct{ ues, missing []cp.UEID }{
+		"dense":  {ues: []cp.UEID{0, 1, 2, 3}, missing: []cp.UEID{4, 1 << 16}},
+		"sparse": {ues: []cp.UEID{2, 7, 40, 1 << 20}, missing: []cp.UEID{0, 3, 41, 1<<20 + 1}},
+	} {
+		ues := tc.ues
+		t.Run(name, func(t *testing.T) {
+			sw := NewStreamWriter(&bytes.Buffer{})
+			for _, ue := range ues {
+				if err := sw.SetDevice(ue, cp.Phone); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sw.SetDevice(ues[1], cp.Phone); err != nil {
+				t.Fatalf("idempotent re-registration of an earlier UE: %v", err)
+			}
+			err := sw.SetDevice(ues[1], cp.Tablet)
+			if err == nil || !strings.Contains(err.Error(), "already registered as") {
+				t.Fatalf("conflicting re-registration: err = %v", err)
+			}
+			for i, ue := range ues {
+				if err := sw.Write(Event{T: cp.Millis(i), UE: ue, Type: cp.Attach}); err != nil {
+					t.Fatalf("registered UE %d: %v", ue, err)
+				}
+			}
+			for _, ue := range tc.missing {
+				err := sw.Write(Event{T: 100, UE: ue, Type: cp.Attach})
+				if err == nil || !strings.Contains(err.Error(), "unregistered UE") {
+					t.Fatalf("Write for unregistered UE %d: err = %v", ue, err)
+				}
+				b := NewBatch(2)
+				b.Append(Event{T: 100, UE: ues[0], Type: cp.Detach})
+				b.Append(Event{T: 101, UE: ue, Type: cp.Attach})
+				err = sw.WriteBatch(b)
+				if err == nil || !strings.Contains(err.Error(), "unregistered UE") {
+					t.Fatalf("WriteBatch for unregistered UE %d: err = %v", ue, err)
+				}
+			}
+		})
+	}
+}
+
 // Trace implements both EventSource and EventSink; Collect(Copy) over the
 // interfaces reproduces the trace exactly, and Scan on an unsorted trace
 // yields canonical order without mutating it.
@@ -304,42 +351,5 @@ func TestFileSource(t *testing.T) {
 	}
 	if _, err := NewFileSource(bad); err == nil {
 		t.Fatal("want error for non-trace file")
-	}
-}
-
-// sliceIter adapts a pre-sorted event slice to EventIterator.
-type sliceIter struct {
-	evs []Event
-	i   int
-}
-
-func (s *sliceIter) Next() (Event, bool) {
-	if s.i >= len(s.evs) {
-		return Event{}, false
-	}
-	e := s.evs[s.i]
-	s.i++
-	return e, true
-}
-
-func TestMergeScan(t *testing.T) {
-	tr := streamTrace(t, 9, 900, 7)
-	// Split per-UE (each per-UE stream is individually ordered).
-	per := tr.PerUE()
-	var its []EventIterator
-	for _, ue := range tr.UEs() {
-		its = append(its, &sliceIter{evs: per[ue]})
-	}
-	var merged []Event
-	if err := MergeScan(func(e Event) error { merged = append(merged, e); return nil }, its); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged, tr.Events) {
-		t.Fatalf("MergeScan order mismatch: got %d events, want %d", len(merged), len(tr.Events))
-	}
-
-	if err := MergeScan(func(Event) error { return fmt.Errorf("boom") },
-		[]EventIterator{&sliceIter{evs: tr.Events[:10]}}); err == nil {
-		t.Fatal("MergeScan should propagate fn errors")
 	}
 }

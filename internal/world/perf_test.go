@@ -53,8 +53,10 @@ func TestWorldGenerationEquivalence(t *testing.T) {
 }
 
 // TestUESimSteadyStateAllocs pins the simulator's hot loop at zero
-// steady-state allocations (the queue ring reuses its backing array).
-// Skipped under the race detector, which changes allocation behavior.
+// steady-state allocations (the queue reuses its backing array): each
+// step fills the events of one instant, the window assembler's loop with
+// a window one millisecond wide. Skipped under the race detector, which
+// changes allocation behavior.
 func TestUESimSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -64,16 +66,27 @@ func TestUESimSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, _ := newUESim(opt, mix, stats.NewRNG(opt.Seed), 0)
+	rng, dev := simPlan(mix, stats.NewRNG(opt.Seed), 0)
+	var sim ueSim
+	sim.init(opt, 0, dev, rng)
+	buf := make([]trace.Event, 0, 64)
+	head := opt.Offset
+	step := func() bool {
+		if head == trace.NoLimit {
+			return false
+		}
+		buf, head = sim.fillUntil(head+1, buf[:0])
+		return true
+	}
 	const warmup, runs = 2000, 4000
 	for i := 0; i < warmup; i++ {
-		if _, ok := sim.Next(); !ok {
-			t.Fatalf("simulator exhausted after %d warm-up events", i)
+		if !step() {
+			t.Fatalf("simulator exhausted after %d warm-up steps", i)
 		}
 	}
 	alive := true
 	avg := testing.AllocsPerRun(runs, func() {
-		if _, ok := sim.Next(); !ok {
+		if !step() {
 			alive = false
 		}
 	})
@@ -81,6 +94,6 @@ func TestUESimSteadyStateAllocs(t *testing.T) {
 		t.Fatal("simulator exhausted during measurement")
 	}
 	if avg > 0 {
-		t.Errorf("steady-state Next allocates %.4f allocs/event, want 0", avg)
+		t.Errorf("steady-state step allocates %.4f allocs/step, want 0", avg)
 	}
 }

@@ -146,7 +146,8 @@ type WorldOptions = world.Options
 func SimulateWorld(opt WorldOptions) (*Trace, error) { return world.Generate(opt) }
 
 // WorldSource returns a simulation-backed EventSource that produces
-// exactly SimulateWorld's trace while holding only O(NumUEs) state.
+// exactly SimulateWorld's trace while holding only the per-UE state and
+// one assembly window.
 func WorldSource(opt WorldOptions) (EventSource, error) { return world.NewSource(opt) }
 
 // Model is a fitted control-plane traffic model.
@@ -282,7 +283,8 @@ func GenerateTraffic(ms *Model, opt GenOptions) (*Trace, error) {
 }
 
 // TrafficSource returns a generator-backed EventSource that produces
-// exactly GenerateTraffic's trace while holding only O(NumUEs) state —
+// exactly GenerateTraffic's trace while holding only the per-UE state and
+// one assembly window —
 // populations whose traces would not fit in memory can be streamed to
 // disk or fitted directly.
 func TrafficSource(ms *Model, opt GenOptions) (EventSource, error) {
