@@ -12,14 +12,17 @@ import (
 	"strings"
 	"testing"
 
+	"cptraffic/internal/baseline"
+	"cptraffic/internal/cluster"
 	"cptraffic/internal/core"
 	"cptraffic/internal/cp"
 	"cptraffic/internal/trace"
 	"cptraffic/internal/world"
 )
 
-// goldenDigests is the cross-version pin of the streaming pipelines: the
-// sha256 of every byte the generator and world sources write, at tiny
+// goldenDigests is the cross-version pin of the streaming pipelines and
+// the fit: the sha256 of every byte the generator and world sources
+// write, and of fitted models and partial-fit checkpoints, at tiny
 // scale. The identity tests inside each package compare two paths of one
 // build; this file compares the build against the bytes an earlier one
 // produced, so a change that shifts every path the same way still fails.
@@ -74,7 +77,8 @@ func readDigests(path string) (map[string]string, error) {
 // goldenStreams renders every pinned stream: the fitted model JSON, the
 // generator source (two seeds × Workers 1 and 4) and the world source
 // (two seeds × midnight and a 17:00 Offset), each through both the
-// binary StreamWriter and the TextWriter.
+// binary StreamWriter and the TextWriter, then the fit variants of
+// goldenFits.
 func goldenStreams(t *testing.T) []digest {
 	t.Helper()
 	train, err := world.Generate(world.Options{NumUEs: 150, Duration: 3 * cp.Hour, Seed: 1})
@@ -110,7 +114,84 @@ func goldenStreams(t *testing.T) []digest {
 			out = append(out, encodeBoth(t, fmt.Sprintf("world/seed=%d/offset=%dh", seed, offset/cp.Hour), src)...)
 		}
 	}
-	return out
+	return append(out, goldenFits(t)...)
+}
+
+// goldenFits pins the fit's canonical-order paths on a 2-day world, so
+// hour pools from both days meet in the cross-day flat merge: the
+// model JSON of the paper method, the V2 ablation (exponential sojourns
+// with the censored MLE), the Base method (flat machine, free HO/TAU)
+// and a sketched fit; a 2-shard fit taken through the partialfit/1
+// codec and merged; and the partialfit/1 bytes of one shard.
+func goldenFits(t *testing.T) []digest {
+	t.Helper()
+	train, err := world.Generate(world.Options{NumUEs: 100, Duration: 2 * cp.Day, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []digest
+	for _, method := range []string{"ours", "v2", "base"} {
+		opt, err := baseline.Options(method, cluster.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, digest{"fit/" + method + "/model.json", sum(fitBytes(t, train, opt))})
+	}
+	sketched := core.FitOptions{SketchK: 64}
+	out = append(out, digest{"fit/ours-sketch64/model.json", sum(fitBytes(t, train, sketched))})
+
+	var shards []*core.PartialFit
+	for s := 0; s < 2; s++ {
+		src, err := trace.ShardSource(train, 2, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := core.NewPartialFit(core.FitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pf.AddSource(src); err != nil {
+			t.Fatal(err)
+		}
+		var enc bytes.Buffer
+		if err := pf.Encode(&enc); err != nil {
+			t.Fatal(err)
+		}
+		if s == 0 {
+			out = append(out, digest{"fit/ours/shard=0of2.partialfit", sum(enc.Bytes())})
+		}
+		dec, err := core.DecodePartial(&enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, dec)
+	}
+	if err := shards[0].Merge(shards[1]); err != nil {
+		t.Fatal(err)
+	}
+	ms, err := shards[0].Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, digest{"fit/ours/shards=2/codec/model.json", sum(modelJSON(t, ms))})
+}
+
+func fitBytes(t *testing.T, tr *trace.Trace, opt core.FitOptions) []byte {
+	t.Helper()
+	ms, err := core.Fit(tr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return modelJSON(t, ms)
+}
+
+func modelJSON(t *testing.T, ms *core.ModelSet) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := ms.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // encodeBoth streams src through the binary and the text writer, the
