@@ -332,6 +332,63 @@ func BenchmarkModelFit(b *testing.B) {
 	}
 }
 
+// BenchmarkFitPhases splits BenchmarkModelFit into the fit's phases,
+// each reporting trace events per second of its own time: accumulate
+// (NewPartialFit and AddSource: per-UE extraction into counts and
+// sample pools), build (Build: canonical ordering, clustering and the
+// distribution fits) and save (the model JSON encode). build and save
+// prepare their input outside the timer.
+func BenchmarkFitPhases(b *testing.B) {
+	tr, err := world.Generate(world.Options{NumUEs: 400, Duration: cp.Day, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := core.FitOptions{Cluster: cluster.Options{ThetaN: 40}}
+	accumulate := func(b *testing.B) *core.PartialFit {
+		pf, err := core.NewPartialFit(opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := pf.AddSource(tr); err != nil {
+			b.Fatal(err)
+		}
+		return pf
+	}
+	eventsPerSec := func(b *testing.B) {
+		b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+	}
+	b.Run("accumulate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			accumulate(b)
+		}
+		eventsPerSec(b)
+	})
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			pf := accumulate(b)
+			b.StartTimer()
+			if _, err := pf.Build(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		eventsPerSec(b)
+	})
+	b.Run("save", func(b *testing.B) {
+		ms, err := accumulate(b).Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := ms.Save(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+		eventsPerSec(b)
+	})
+}
+
 // BenchmarkFitStream measures the single-pass bounded-memory fit on the
 // same workload as BenchmarkModelFit, so the two are directly
 // comparable — the streamed fold produces a byte-identical model

@@ -13,8 +13,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cptraffic/internal/cp"
 )
@@ -97,7 +98,7 @@ func Partition(points []Point, opt Options) []Cluster {
 		return nil
 	}
 	ps := append([]Point(nil), points...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].UE < ps[j].UE })
+	slices.SortFunc(ps, func(x, y Point) int { return cmp.Compare(x.UE, y.UE) })
 
 	var out []Cluster
 	var recurse func(ps []Point, depth int)
@@ -182,12 +183,7 @@ func splitDims(lo, hi, theta Features) (int, int) {
 		all[d] = ds{d, (hi[d] - lo[d]) / theta[d]}
 	}
 	s := all[:]
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].s != s[j].s {
-			return s[i].s > s[j].s
-		}
-		return s[i].d < s[j].d
-	})
+	slices.SortFunc(s, func(x, y ds) int { return cmp.Or(cmp.Compare(y.s, x.s), cmp.Compare(x.d, y.d)) })
 	return s[0].d, s[1].d
 }
 
@@ -196,7 +192,7 @@ func finalize(id int, ps []Point, lo, hi Features) Cluster {
 	for i, p := range ps {
 		ues[i] = p.UE
 	}
-	sort.Slice(ues, func(i, j int) bool { return ues[i] < ues[j] })
+	slices.Sort(ues)
 	return Cluster{ID: id, UEs: ues, Min: lo, Max: hi}
 }
 

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"cptraffic/internal/cluster"
 	"cptraffic/internal/cp"
@@ -196,6 +197,7 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 	for _, e := range pf.opt.FreeEvents {
 		f.Options.FreeEvents = append(f.Options.FreeEvents, e.String())
 	}
+	ps := new(keyedSorter[float64])
 	for _, d := range cp.DeviceTypes {
 		dp := pf.devs[d]
 		if dp == nil || len(dp.ues) == 0 {
@@ -203,7 +205,7 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 		}
 		pd := partialDevice{Device: d.String()}
 		pd.UEs = append([]cp.UEID(nil), dp.ues...)
-		sort.Slice(pd.UEs, func(i, j int) bool { return pd.UEs[i] < pd.UEs[j] })
+		slices.Sort(pd.UEs)
 
 		for _, ue := range pd.UEs {
 			st := pf.exts[ue]
@@ -217,7 +219,7 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 		for k := range dp.counts {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		for _, k := range keys {
 			pd.Counts.UE = append(pd.Counts.UE, cp.UEID(k>>32))
 			pd.Counts.Key = append(pd.Counts.Key, uint32(k))
@@ -228,7 +230,7 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 		for k := range dp.pools {
 			pkeys = append(pkeys, k)
 		}
-		sort.Slice(pkeys, func(i, j int) bool { return poolKeyLess(pkeys[i], pkeys[j]) })
+		slices.SortFunc(pkeys, comparePoolKeys)
 		for _, k := range pkeys {
 			p := dp.pools[k]
 			pp := partialPool{
@@ -245,10 +247,10 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 			case poolFree:
 				pp.Event = cp.EventType(k.B).String()
 			}
-			for _, it := range p.canonicalItems() {
-				pp.UE = append(pp.UE, it.ue)
-				pp.Seq = append(pp.Seq, it.seq)
-				pp.V = append(pp.V, it.v)
+			for _, it := range p.canonicalItems(ps) {
+				pp.UE = append(pp.UE, tagUE(it.key))
+				pp.Seq = append(pp.Seq, tagSeq(it.key))
+				pp.V = append(pp.V, it.val)
 			}
 			pd.Pools = append(pd.Pools, pp)
 		}
@@ -257,16 +259,7 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 		for k := range dp.moments {
 			mkeys = append(mkeys, k)
 		}
-		sort.Slice(mkeys, func(i, j int) bool {
-			x, y := mkeys[i], mkeys[j]
-			if x.ue != y.ue {
-				return x.ue < y.ue
-			}
-			if x.hour != y.hour {
-				return x.hour < y.hour
-			}
-			return !x.conn && y.conn
-		})
+		slices.SortFunc(mkeys, compareMomKeys)
 		for _, k := range mkeys {
 			m := dp.moments[k]
 			pd.Moments = append(pd.Moments, partialMoment{
@@ -280,17 +273,10 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 	return enc.Encode(&f)
 }
 
-func poolKeyLess(x, y poolKey) bool {
-	if x.Hour != y.Hour {
-		return x.Hour < y.Hour
-	}
-	if x.Kind != y.Kind {
-		return x.Kind < y.Kind
-	}
-	if x.A != y.A {
-		return x.A < y.A
-	}
-	return x.B < y.B
+// comparePoolKeys orders pool keys by (hour, kind, a, b).
+func comparePoolKeys(x, y poolKey) int {
+	return cmp.Or(cmp.Compare(x.Hour, y.Hour), cmp.Compare(x.Kind, y.Kind),
+		cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 }
 
 func encodeExtractor(ue cp.UEID, st *ueFitState) partialExtractor {
@@ -492,7 +478,7 @@ func decodePools(dp *devPartial, d cp.DeviceType, pf *PartialFit, pd partialDevi
 		} else if pp.Event != "" {
 			return fmt.Errorf("core: partial fit: pool kind %q takes no event", pp.Kind)
 		}
-		if pi > 0 && !poolKeyLess(prev, k) {
+		if pi > 0 && comparePoolKeys(prev, k) >= 0 {
 			return fmt.Errorf("core: partial fit: device %q pools not in canonical order", pd.Device)
 		}
 		prev = k
@@ -504,10 +490,10 @@ func decodePools(dp *devPartial, d cp.DeviceType, pf *PartialFit, pd partialDevi
 			if dev, ok := pf.devOf[pp.UE[i]]; !ok || dev != d {
 				return fmt.Errorf("core: partial fit: pool sample for UE %d not of device %q", pp.UE[i], pd.Device)
 			}
-			if i > 0 && (pp.UE[i-1] > pp.UE[i] || (pp.UE[i-1] == pp.UE[i] && pp.Seq[i-1] >= pp.Seq[i])) {
+			items[i] = pitem{key: sampleTag(pp.UE[i], pp.Seq[i]), val: pp.V[i]}
+			if i > 0 && items[i-1].key >= items[i].key {
 				return fmt.Errorf("core: partial fit: pool %q/%d items not in (ue, seq) order", pp.Kind, pp.Hour)
 			}
-			items[i] = pitem{ue: pp.UE[i], seq: pp.Seq[i], v: pp.V[i]}
 		}
 		p := &pool{}
 		if pf.opt.SketchK > 0 {
@@ -522,8 +508,7 @@ func decodePools(dp *devPartial, d cp.DeviceType, pf *PartialFit, pd partialDevi
 			ski := make([]stats.SketchItem, len(items))
 			salt := poolSalt(k)
 			for i, it := range items {
-				tag := uint64(it.ue)<<32 | uint64(it.seq)
-				ski[i] = stats.SketchItem{Pri: stats.SketchPriority(salt, tag), Tag: tag, V: it.v}
+				ski[i] = stats.SketchItem{Pri: stats.SketchPriority(salt, it.key), Tag: it.key, V: it.val}
 			}
 			p.sk = stats.RestoreSketch(pf.opt.SketchK, pp.N, ski)
 		} else {
@@ -556,7 +541,7 @@ func decodeMoments(dp *devPartial, d cp.DeviceType, pf *PartialFit, pd partialDe
 		if i > 0 {
 			pm := pd.Moments[i-1]
 			pk := momKey{ue: pm.UE, hour: uint8(pm.Hour), conn: pm.Conn}
-			if !momKeyLess(pk, k) {
+			if compareMomKeys(pk, k) >= 0 {
 				return fmt.Errorf("core: partial fit: device %q moments not in (ue, hour, conn) order", pd.Device)
 			}
 		}
@@ -568,14 +553,16 @@ func decodeMoments(dp *devPartial, d cp.DeviceType, pf *PartialFit, pd partialDe
 	return nil
 }
 
-func momKeyLess(x, y momKey) bool {
-	if x.ue != y.ue {
-		return x.ue < y.ue
+// compareMomKeys orders moment keys by (UE, hour, conn), IDLE
+// (conn=false) first.
+func compareMomKeys(x, y momKey) int {
+	if c := cmp.Or(cmp.Compare(x.ue, y.ue), cmp.Compare(x.hour, y.hour)); c != 0 || x.conn == y.conn {
+		return c
 	}
-	if x.hour != y.hour {
-		return x.hour < y.hour
+	if y.conn {
+		return -1
 	}
-	return !x.conn && y.conn
+	return 1
 }
 
 func decodeExtractors(d cp.DeviceType, pf *PartialFit, pd partialDevice) error {

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -407,7 +410,7 @@ func TestFitSketchedErrorBound(t *testing.T) {
 			}
 			ev := make([]float64, len(ep.items))
 			for i, it := range ep.items {
-				ev[i] = it.v
+				ev[i] = it.val
 			}
 			if dist := stats.MaxYDistance(sp.sk.Values(), ev); dist > eps {
 				t.Errorf("pool %+v: K-S distance %v exceeds bound %v (n=%d)", key, dist, eps, len(ev))
@@ -448,5 +451,102 @@ func TestFitSketchedBoundedMemory(t *testing.T) {
 		100*float64(sketchPeak)/float64(exactPeak))
 	if sketchPeak >= exactPeak {
 		t.Fatalf("sketched fit peak (%d B) not below exact streamed peak (%d B)", sketchPeak, exactPeak)
+	}
+}
+
+// TestKeyedSorterMatchesSortFunc pins the radix sort behind every
+// canonical (UE, seq) order to a comparison sort on the unpacked
+// fields: lengths 0, 1 and 2, UE and seq values at the top of their
+// range, sorted and reversed input, a single UE, dense UE ids, and keys
+// spread over all 64 bits. One sorter serves every case, as in Build,
+// so its scratch is reused across sizes.
+func TestKeyedSorterMatchesSortFunc(t *testing.T) {
+	r := stats.NewRNG(5)
+	const top = math.MaxUint32
+	gen := func(n int, ue func() cp.UEID, seq func() uint32) []pitem {
+		seen := make(map[uint64]bool, n)
+		var out []pitem
+		for len(out) < n {
+			k := sampleTag(ue(), seq())
+			if !seen[k] {
+				seen[k] = true
+				out = append(out, pitem{key: k, val: float64(len(out))})
+			}
+		}
+		return out
+	}
+	dense := func() cp.UEID { return cp.UEID(r.Intn(400)) }
+	seqs := func() uint32 { return uint32(r.Intn(5000)) }
+	byFields := func(x, y pitem) int {
+		return cmp.Or(cmp.Compare(tagUE(x.key), tagUE(y.key)), cmp.Compare(tagSeq(x.key), tagSeq(y.key)))
+	}
+	sorted := gen(3000, dense, seqs)
+	slices.SortFunc(sorted, byFields)
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	cases := []struct {
+		name  string
+		items []pitem
+	}{
+		{"len=0", nil},
+		{"len=1", []pitem{{key: sampleTag(top, top), val: 1}}},
+		{"len=2", []pitem{{key: sampleTag(3, 1), val: 1}, {key: sampleTag(2, 9), val: 2}}},
+		{"len=2/same-ue", []pitem{{key: sampleTag(4, 2), val: 1}, {key: sampleTag(4, 1), val: 2}}},
+		{"near-max", gen(2000, func() cp.UEID { return cp.UEID(top - r.Intn(8)) },
+			func() uint32 { return uint32(top - r.Intn(1000)) })},
+		{"single-ue", gen(2000, func() cp.UEID { return 17 }, seqs)},
+		{"dense", gen(20000, dense, seqs)},
+		{"sorted", sorted},
+		{"reversed", reversed},
+		{"wide", gen(5000, func() cp.UEID { return cp.UEID(r.Uint64()) },
+			func() uint32 { return uint32(r.Uint64()) })},
+		{"small-after-large", gen(3, dense, seqs)},
+	}
+	ps := new(keyedSorter[float64])
+	for _, c := range cases {
+		want := slices.Clone(c.items)
+		slices.SortFunc(want, byFields)
+		got := slices.Clone(c.items)
+		ps.sort(got)
+		for i := range want {
+			if got[i].key != want[i].key || math.Float64bits(got[i].val) != math.Float64bits(want[i].val) {
+				t.Fatalf("%s: item %d = (UE %d, seq %d, %v), want (UE %d, seq %d, %v)", c.name, i,
+					tagUE(got[i].key), tagSeq(got[i].key), got[i].val,
+					tagUE(want[i].key), tagSeq(want[i].key), want[i].val)
+			}
+		}
+	}
+}
+
+// TestCountRecsHourMajor pins countRecs' packed hour-major radix order
+// to a comparison sort on the decoded (hour, UE, kind, a, b) fields,
+// with UE ids up to 2^32-1 and every field at its extremes.
+func TestCountRecsHourMajor(t *testing.T) {
+	r := stats.NewRNG(6)
+	dp := newDevPartial()
+	for len(dp.counts) < 20000 {
+		ue := cp.UEID(r.Intn(300))
+		if r.Intn(4) == 0 {
+			ue = cp.UEID(math.MaxUint32 - r.Intn(300))
+		}
+		k := cntKey(ue, uint8(r.Intn(int(numCntKinds))), r.Intn(HoursPerDay), uint8(r.Intn(256)), uint8(r.Intn(256)))
+		dp.counts[k] = int64(1 + r.Intn(1000))
+	}
+	want := make([]countRec, 0, len(dp.counts))
+	for k, n := range dp.counts {
+		want = append(want, decodeCntKey(k, n))
+	}
+	slices.SortFunc(want, func(x, y countRec) int {
+		return cmp.Or(cmp.Compare(x.hour, y.hour), cmp.Compare(x.ue, y.ue), cmp.Compare(x.kind, y.kind),
+			cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
+	})
+	got := dp.countRecs()
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

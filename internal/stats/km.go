@@ -1,6 +1,6 @@
 package stats
 
-import "sort"
+import "slices"
 
 // KaplanMeier estimates the marginal distribution of an event time from
 // right-censored observations: fired holds the observed (uncensored)
@@ -19,25 +19,15 @@ func KaplanMeier(fired, censored []float64) (q *QuantileTable, tail float64, ok 
 	if len(fired) == 0 {
 		return nil, 1, false
 	}
-	type obs struct {
-		t     float64
-		event bool
-	}
-	all := make([]obs, 0, len(fired)+len(censored))
-	for _, t := range fired {
-		all = append(all, obs{t, true})
-	}
-	for _, t := range censored {
-		all = append(all, obs{t, false})
-	}
-	// Sort by time; at ties, events before censorings (the standard
+	// Sort copies of both lists and walk them as one time-ordered
+	// sequence; at ties, events before censorings (the standard
 	// convention: a unit censored at t was still at risk at t).
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].t != all[j].t {
-			return all[i].t < all[j].t
-		}
-		return all[i].event && !all[j].event
-	})
+	all := make([]float64, len(fired)+len(censored))
+	f, c := all[:len(fired)], all[len(fired):]
+	copy(f, fired)
+	copy(c, censored)
+	slices.Sort(f)
+	slices.Sort(c)
 
 	n := len(all)
 	type step struct {
@@ -46,23 +36,27 @@ func KaplanMeier(fired, censored []float64) (q *QuantileTable, tail float64, ok 
 	}
 	var steps []step
 	S := 1.0
-	i := 0
-	for i < n {
-		t := all[i].t
+	// Censorings after the last event change nothing, so the walk ends
+	// with the fired list.
+	i, j := 0, 0 // fired and censored observations passed
+	for i < len(f) {
+		t := f[i]
+		if j < len(c) && c[j] < t {
+			t = c[j]
+		}
+		atRisk := n - i - j
 		d := 0 // events at t
-		j := i
-		for j < n && all[j].t == t {
-			if all[j].event {
-				d++
-			}
+		for i < len(f) && f[i] == t {
+			d++
+			i++
+		}
+		for j < len(c) && c[j] == t {
 			j++
 		}
-		atRisk := n - i
 		if d > 0 {
 			S *= 1 - float64(d)/float64(atRisk)
 			steps = append(steps, step{t: t, F: 1 - S})
 		}
-		i = j
 	}
 	tail = S
 	fMax := 1 - S

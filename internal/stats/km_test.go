@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -129,5 +131,157 @@ func TestCensoredExpMLERecoversRate(t *testing.T) {
 	l, ok := CensoredExpMLE(fired, censored)
 	if !ok || math.Abs(l-2) > 0.05 {
 		t.Fatalf("lambda = %v", l)
+	}
+}
+
+// kaplanMeierReference is the comparison-sort KaplanMeier the merge walk
+// replaced, kept as the oracle: one (t, event) list sorted by time with
+// events before censorings at ties, grouped by time.
+func kaplanMeierReference(fired, censored []float64) (q *QuantileTable, tail float64, ok bool) {
+	if len(fired) == 0 {
+		return nil, 1, false
+	}
+	type obs struct {
+		t     float64
+		event bool
+	}
+	all := make([]obs, 0, len(fired)+len(censored))
+	for _, t := range fired {
+		all = append(all, obs{t, true})
+	}
+	for _, t := range censored {
+		all = append(all, obs{t, false})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].t != all[j].t {
+			return all[i].t < all[j].t
+		}
+		return all[i].event && !all[j].event
+	})
+	n := len(all)
+	type step struct {
+		t float64
+		F float64
+	}
+	var steps []step
+	S := 1.0
+	i := 0
+	for i < n {
+		t := all[i].t
+		d := 0
+		j := i
+		for j < n && all[j].t == t {
+			if all[j].event {
+				d++
+			}
+			j++
+		}
+		atRisk := n - i
+		if d > 0 {
+			S *= 1 - float64(d)/float64(atRisk)
+			steps = append(steps, step{t: t, F: 1 - S})
+		}
+		i = j
+	}
+	tail = S
+	fMax := 1 - S
+	if fMax <= 0 {
+		return nil, 1, false
+	}
+	points := DefaultQuantilePoints
+	qv := make([]float64, points)
+	si := 0
+	for k := 0; k < points; k++ {
+		p := float64(k) / float64(points-1) * fMax
+		for si < len(steps)-1 && steps[si].F < p {
+			si++
+		}
+		qv[k] = steps[si].t
+	}
+	qv[0] = steps[0].t
+	qv[points-1] = steps[len(steps)-1].t
+	return &QuantileTable{Q: qv}, tail, true
+}
+
+// TestKaplanMeierMatchesReference pins the merge walk to the
+// comparison-sort oracle bit for bit: the quantile table, the tail and
+// ok, over random inputs with fired/censored ties, duplicate times,
+// zeros, empty censored lists and all-censored-after-the-last-event
+// tails.
+func TestKaplanMeierMatchesReference(t *testing.T) {
+	r := NewRNG(41)
+	grid := func(n, levels int) []float64 {
+		// Times on a coarse grid, so duplicates and cross-list ties
+		// are common; level 0 is an exact zero.
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = float64(r.Intn(levels)) * 0.25
+		}
+		return out
+	}
+	cont := func(n int, rate float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = r.Exp(rate)
+		}
+		return out
+	}
+	type tc struct {
+		name            string
+		fired, censored []float64
+	}
+	cases := []tc{
+		{"empty", nil, nil},
+		{"all-censored", nil, []float64{1, 2}},
+		{"one-fired", []float64{3}, nil},
+		{"zeros", []float64{0, 0, 1}, []float64{0}},
+		{"tie-fired-censored", []float64{1, 1, 2}, []float64{1, 2, 2}},
+		{"censored-after-last-event", []float64{1, 2}, []float64{3, 4, 5}},
+		{"censored-before-first-event", []float64{5, 6}, []float64{1, 2}},
+		{"descending-input", []float64{9, 7, 5, 3}, []float64{8, 6, 4, 2}},
+	}
+	for i := 0; i < 200; i++ {
+		nf, nc := r.Intn(300), r.Intn(300)
+		if i%5 == 0 {
+			nc = 0
+		}
+		if i%2 == 0 {
+			levels := 1 + r.Intn(40)
+			cases = append(cases, tc{fmt.Sprintf("grid-%d", i), grid(nf, levels), grid(nc, levels)})
+		} else {
+			cases = append(cases, tc{fmt.Sprintf("exp-%d", i), cont(nf, 1), cont(nc, 0.5)})
+		}
+	}
+	for _, c := range cases {
+		firedIn := append([]float64(nil), c.fired...)
+		censoredIn := append([]float64(nil), c.censored...)
+		q, tail, ok := KaplanMeier(c.fired, c.censored)
+		wq, wtail, wok := kaplanMeierReference(c.fired, c.censored)
+		if ok != wok || math.Float64bits(tail) != math.Float64bits(wtail) {
+			t.Fatalf("%s: (tail %v, ok %v), reference (tail %v, ok %v)", c.name, tail, ok, wtail, wok)
+		}
+		if (q == nil) != (wq == nil) {
+			t.Fatalf("%s: table %v, reference %v", c.name, q, wq)
+		}
+		if q != nil {
+			if len(q.Q) != len(wq.Q) {
+				t.Fatalf("%s: %d quantiles, reference %d", c.name, len(q.Q), len(wq.Q))
+			}
+			for k := range q.Q {
+				if math.Float64bits(q.Q[k]) != math.Float64bits(wq.Q[k]) {
+					t.Fatalf("%s: Q[%d] = %v, reference %v", c.name, k, q.Q[k], wq.Q[k])
+				}
+			}
+		}
+		for k := range firedIn {
+			if math.Float64bits(c.fired[k]) != math.Float64bits(firedIn[k]) {
+				t.Fatalf("%s: KaplanMeier reordered its fired input", c.name)
+			}
+		}
+		for k := range censoredIn {
+			if math.Float64bits(c.censored[k]) != math.Float64bits(censoredIn[k]) {
+				t.Fatalf("%s: KaplanMeier reordered its censored input", c.name)
+			}
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -67,10 +69,12 @@ func RestoreSketch(k int, n int64, items []SketchItem) *Sketch {
 
 // itemLess orders items by (Pri, Tag) lexicographically.
 func itemLess(a, b SketchItem) bool {
-	if a.Pri != b.Pri {
-		return a.Pri < b.Pri
-	}
-	return a.Tag < b.Tag
+	return compareItems(a, b) < 0
+}
+
+// compareItems is itemLess as a three-way comparison.
+func compareItems(a, b SketchItem) int {
+	return cmp.Or(cmp.Compare(a.Pri, b.Pri), cmp.Compare(a.Tag, b.Tag))
 }
 
 // Add observes one value with the given priority and tag. Ties on
@@ -125,7 +129,7 @@ func (s *Sketch) Len() int { return len(s.items) }
 // canonical serialization order. The slice is a copy.
 func (s *Sketch) Items() []SketchItem {
 	out := append([]SketchItem(nil), s.items...)
-	sort.Slice(out, func(i, j int) bool { return itemLess(out[i], out[j]) })
+	slices.SortFunc(out, compareItems)
 	return out
 }
 

@@ -14,18 +14,20 @@
 #
 # The ledger set is the throughput benchmarks (generate, world, and the
 # batched stream pipeline) plus the historical per-UE-hour and scanner
-# benches, the shard/merge fit, the bounded-memory (sketched) fit
-# with its peak-heap metric, and the cplint analysis cost
-# (BenchmarkLintAnalyze: per analyzer, whole suite, real module), so
-# successive BENCH_* files track the same quantities across PRs. With -count N the .txt keeps every run
+# benches, the shard/merge fit, the fit's phases (accumulate, build,
+# save), the bounded-memory (sketched) fit with its peak-heap metric,
+# and the cplint analysis cost (BenchmarkLintAnalyze: per analyzer,
+# whole suite, real module), so successive BENCH_* files track the same
+# quantities across PRs. With -count N the .txt keeps every run
 # (benchstat can consume it directly) and the .json stores the median of
-# each metric, which is the number the ledger compares. Compare two
-# ledgers with scripts/benchcmp.sh.
+# each metric, which is the number the ledger compares; a single run
+# says "single run" in the .json's "aggregation" field instead. Compare
+# two ledgers with scripts/benchcmp.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${PATTERN:-GenerateThroughput|WorldThroughput|StreamThroughput|GeneratorPerUEHour|Scanner|FitSharded|FitSketched}"
+PATTERN="${PATTERN:-GenerateThroughput|WorldThroughput|StreamThroughput|GeneratorPerUEHour|Scanner|FitSharded|FitPhases|FitSketched}"
 BENCHTIME="${BENCHTIME:-10x}"
 COUNT="${COUNT:-1}"
 while [ $# -gt 0 ]; do
@@ -137,7 +139,7 @@ END {
 	printf "  \"cpus\": %d,\n", cpus
 	printf "  \"benchtime\": \"%s\",\n", benchtime
 	printf "  \"count\": %d,\n", count
-	printf "  \"aggregation\": \"median over count runs per benchmark\",\n"
+	printf "  \"aggregation\": \"%s\",\n", (count + 0 == 1 ? "single run" : "median over count runs per benchmark")
 	printf "  \"caveat\": \"measured on a shared %d-CPU container; absolute numbers are noisy (±20%% across runs observed), compare only medians of repeated runs on the same host\",\n", cpus
 	printf "  \"benchmarks\": [\n%s\n  ]\n}\n", out
 }' cpus="$(nproc)" "$TXT" > "$JSON"
