@@ -16,6 +16,7 @@ import (
 	"cptraffic/internal/cluster"
 	"cptraffic/internal/core"
 	"cptraffic/internal/cp"
+	"cptraffic/internal/scenario"
 	"cptraffic/internal/trace"
 	"cptraffic/internal/world"
 )
@@ -78,7 +79,7 @@ func readDigests(path string) (map[string]string, error) {
 // generator source (two seeds × Workers 1 and 4) and the world source
 // (two seeds × midnight and a 17:00 Offset), each through both the
 // binary StreamWriter and the TextWriter, then the fit variants of
-// goldenFits.
+// goldenFits and the storm reports of goldenStorms.
 func goldenStreams(t *testing.T) []digest {
 	t.Helper()
 	train, err := world.Generate(world.Options{NumUEs: 150, Duration: 3 * cp.Hour, Seed: 1})
@@ -114,7 +115,46 @@ func goldenStreams(t *testing.T) []digest {
 			out = append(out, encodeBoth(t, fmt.Sprintf("world/seed=%d/offset=%dh", seed, offset/cp.Hour), src)...)
 		}
 	}
-	return append(out, goldenFits(t)...)
+	out = append(out, goldenFits(t)...)
+	return append(out, goldenStorms(t)...)
+}
+
+// goldenStorms pins the stormsim report of every starter scenario at
+// 5% scale, through the same steps as stormsim's run: load, scale,
+// simulate at 4 workers, replay through the NF queueing model, and
+// encode the report JSON.
+func goldenStorms(t *testing.T) []digest {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("scenarios", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no scenarios/*.json")
+	}
+	var out []digest
+	for _, path := range paths {
+		s, err := scenario.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s = s.Scaled(0.05)
+		tr, err := scenario.Simulate(s, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		rep, err := scenario.Storm(s, tr)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var b bytes.Buffer
+		if err := rep.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		out = append(out, digest{"storm/" + name + "/report.json", sum(b.Bytes())})
+	}
+	return out
 }
 
 // goldenFits pins the fit's canonical-order paths on a 2-day world, so
