@@ -8,8 +8,8 @@ GO ?= go
 
 RACE_PKGS = ./internal/par/ ./internal/trace/ ./internal/core/ ./internal/world/ ./internal/eval/ ./internal/experiments/ ./internal/mcn/ ./internal/scenario/ ./cmd/stormsim/
 
-# Per-target fuzzing time for fuzz-smoke (four targets, so the total
-# fuzzing wall clock is four times this). CI raises it to 15s per target.
+# Per-target fuzzing time for fuzz-smoke (five targets, so the total
+# fuzzing wall clock is five times this). CI sets it to 15s per target.
 FUZZTIME ?= 15s
 
 .PHONY: check fmt vet build lint fix test race allocs fuzz-smoke scenarios shardcheck audit bench experiments
@@ -30,8 +30,7 @@ build:
 # coverage (exhaustive), float-fold ordering (floatfold), model
 # immutability (frozen), hot-path allocation (hotalloc, plus its
 # call-graph-propagated form hotcall), par-pool write disjointness
-# (parshare), the reused-buffer retention contract (retain), and the
-# serving-era concurrency contract (guardedby, goleak, ctxflow).
+# (parshare), and the reused-buffer retention contract (retain).
 lint:
 	$(GO) run ./cmd/cplint ./...
 
@@ -63,12 +62,15 @@ allocs:
 
 # Coverage-guided fuzzing over the external input surfaces: the
 # scenario JSON parser (seeded from scenarios/*.json), the partialfit/1
-# binary decoder (seeded from fresh encodings), and the text and binary
-# trace readers. Every target asserts that bad input errors instead of
-# panicking and that accepted input survives a decode→encode round trip.
+# binary decoder (seeded from fresh encodings), the model loader (seeded
+# from small saved fits), and the text and binary trace readers. Every
+# target asserts that bad input errors instead of panicking; the decoders
+# also assert that accepted input survives a decode→encode round trip,
+# and the model loader that an accepted model compiles and generates.
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseScenario$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^FuzzDecodePartial$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^FuzzLoadModel$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzReadTrace$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^FuzzReadBinaryTrace$$' -fuzz '^FuzzReadBinaryTrace$$' -fuzztime $(FUZZTIME) ./internal/trace/
 

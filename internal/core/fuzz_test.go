@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -76,6 +77,56 @@ func FuzzDecodePartial(f *testing.F) {
 		if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
 			t.Fatalf("encode not stable across a round trip: %d bytes vs %d bytes",
 				out1.Len(), out2.Len())
+		}
+	})
+}
+
+// loadFuzzEvents caps the events FuzzLoadModel scans per accepted model.
+// A valid model with zero sojourns can legitimately emit maxEventsPerUE
+// events per UE, far more than one fuzz execution can afford.
+const loadFuzzEvents = 4096
+
+var errEnoughEvents = errors.New("enough events")
+
+// FuzzLoadModel feeds arbitrary bytes through the model loader, seeded
+// with a small saved fit of the paper method and one of the Base
+// method. A model Load rejects only has to not crash; a model it
+// accepts must compile and generate: a 2-UE, 1-hour source is scanned
+// for up to loadFuzzEvents events, each of a known type and inside the
+// generated hour.
+func FuzzLoadModel(f *testing.F) {
+	f.Add(saved(f, smallFit(f, FitOptions{})))
+	f.Add(saved(f, smallFit(f, baseFitOptions())))
+	f.Add([]byte(`{"machine":"EMM-ECM","devices":[]}`))
+	// A global free process without an inter-arrival model: Load once
+	// accepted it and compiling it for generation panicked.
+	f.Add([]byte(`{"machine":"EMM-ECM","devices":[{"global":{"free":[{}]},"share":1}]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ms, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return // rejected inputs only need to not crash
+		}
+		opt := GenOptions{NumUEs: 2, Duration: cp.Hour, Seed: 1}
+		src, err := NewSource(ms, opt)
+		if err != nil {
+			return // e.g. no device has a positive share
+		}
+		n := 0
+		err = src.ScanBatches(func(b *trace.Batch) error {
+			for i := 0; i < b.Len(); i++ {
+				e := b.At(i)
+				if !e.Type.Valid() || e.T < 0 || e.T >= opt.Duration {
+					t.Fatalf("generated event %+v outside the model's event types or the hour", e)
+				}
+			}
+			if n += b.Len(); n >= loadFuzzEvents {
+				return errEnoughEvents
+			}
+			return nil
+		})
+		if err != nil && !errors.Is(err, errEnoughEvents) {
+			t.Fatalf("accepted model does not generate: %v", err)
 		}
 	})
 }

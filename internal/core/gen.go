@@ -246,7 +246,7 @@ func deviceMix(ms *ModelSet, override []float64) ([]float64, error) {
 	}
 	var sum float64
 	for d, m := range mix {
-		if m > 0 && ms.Devices[d] == nil {
+		if m > 0 && ms.Device(cp.DeviceType(d)) == nil {
 			return nil, fmt.Errorf("core: DeviceMix requests %v but the model has no such device", cp.DeviceType(d))
 		}
 		sum += m

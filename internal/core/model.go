@@ -273,39 +273,17 @@ func (dm *DeviceModel) firstEvent(hour, cl int) (FirstEventModel, bool) {
 	return FirstEventModel{}, false
 }
 
-// Validate checks structural invariants of the model set: probabilities
-// in [0,1] summing to ~1 per state, valid sojourn models, persona vectors
-// covering all hours.
+// Validate checks structural invariants of the model set: at most one
+// device model per device type, persona vectors covering all hours, and
+// every cluster model the generator can resolve — the hour's clusters,
+// the hour aggregate and the device global — sound (see
+// ClusterModel.validate).
 func (ms *ModelSet) Validate() error {
 	if _, err := ms.Machine(); err != nil {
 		return err
 	}
-	checkStates := func(where string, sp []StateParam) error {
-		for si, s := range sp {
-			if len(s.Out) == 0 {
-				continue
-			}
-			var sum float64
-			if s.PExit < 0 || s.PExit > 1 {
-				return fmt.Errorf("core: %s state %d: PExit %v out of range", where, si, s.PExit)
-			}
-			if s.Sojourn != nil && !s.Sojourn.Valid() {
-				return fmt.Errorf("core: %s state %d: invalid state-level sojourn", where, si)
-			}
-			for _, tp := range s.Out {
-				if tp.P < 0 || tp.P > 1+1e-9 {
-					return fmt.Errorf("core: %s state %d: probability %v out of range", where, si, tp.P)
-				}
-				if !tp.Sojourn.Valid() {
-					return fmt.Errorf("core: %s state %d event %v: invalid sojourn", where, si, tp.Event)
-				}
-				sum += tp.P
-			}
-			if math.Abs(sum-1) > 1e-6 {
-				return fmt.Errorf("core: %s state %d: probabilities sum to %v", where, si, sum)
-			}
-		}
-		return nil
+	if len(ms.Devices) > cp.NumDeviceTypes {
+		return fmt.Errorf("core: %d device models, at most %d device types", len(ms.Devices), cp.NumDeviceTypes)
 	}
 	for d, dm := range ms.Devices {
 		if dm == nil {
@@ -323,28 +301,94 @@ func (ms *ModelSet) Validate() error {
 			return fmt.Errorf("core: device %d persona weights sum to %v", d, wsum)
 		}
 		for h := range dm.Hours {
-			for c := range dm.Hours[h].Clusters {
-				cm := &dm.Hours[h].Clusters[c]
-				where := fmt.Sprintf("device %d hour %d cluster %d top", d, h, c)
-				if err := checkStates(where, cm.Top); err != nil {
+			hm := &dm.Hours[h]
+			if len(hm.Clusters) > math.MaxInt16 {
+				return fmt.Errorf("core: device %d hour %d: %d clusters, at most %d", d, h, len(hm.Clusters), math.MaxInt16)
+			}
+			for c := range hm.Clusters {
+				if err := hm.Clusters[c].validate(fmt.Sprintf("device %d hour %d cluster %d", d, h, c)); err != nil {
 					return err
-				}
-				if err := checkStates(where+"/bottom", cm.Bottom); err != nil {
-					return err
-				}
-				if len(cm.First.Cats) > 0 {
-					var sum float64
-					for _, cat := range cm.First.Cats {
-						if cat.P < 0 || cat.P > 1+1e-9 {
-							return fmt.Errorf("core: %s: first-event probability %v out of range", where, cat.P)
-						}
-						sum += cat.P
-					}
-					if math.Abs(sum-1) > 1e-6 {
-						return fmt.Errorf("core: %s: first-event probabilities sum to %v", where, sum)
-					}
 				}
 			}
+			if hm.Aggregate != nil {
+				if err := hm.Aggregate.validate(fmt.Sprintf("device %d hour %d aggregate", d, h)); err != nil {
+					return err
+				}
+			}
+		}
+		if dm.Global != nil {
+			if err := dm.Global.validate(fmt.Sprintf("device %d global", d)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// validate checks one cluster model: transition probabilities in [0,1]
+// summing to ~1 per observed state, known event types, valid sojourn
+// models on every transition and state, valid free-process
+// inter-arrivals, and first-event probabilities summing to ~1.
+func (cm *ClusterModel) validate(where string) error {
+	if err := validateStates(where+" top", cm.Top); err != nil {
+		return err
+	}
+	if err := validateStates(where+" bottom", cm.Bottom); err != nil {
+		return err
+	}
+	for i, fp := range cm.Free {
+		if !fp.Event.Valid() {
+			return fmt.Errorf("core: %s free process %d: unknown event type %d", where, i, fp.Event)
+		}
+		if !fp.Inter.Valid() {
+			return fmt.Errorf("core: %s free process %d: invalid inter-arrival model", where, i)
+		}
+	}
+	if len(cm.First.Cats) > 0 {
+		var sum float64
+		for _, cat := range cm.First.Cats {
+			if !cat.Event.Valid() {
+				return fmt.Errorf("core: %s: first-event type %d unknown", where, cat.Event)
+			}
+			if cat.P < 0 || cat.P > 1+1e-9 {
+				return fmt.Errorf("core: %s: first-event probability %v out of range", where, cat.P)
+			}
+			sum += cat.P
+		}
+		if math.Abs(sum-1) > 1e-6 {
+			return fmt.Errorf("core: %s: first-event probabilities sum to %v", where, sum)
+		}
+	}
+	return nil
+}
+
+// validateStates checks the outgoing transitions of each observed state.
+func validateStates(where string, sp []StateParam) error {
+	for si, s := range sp {
+		if len(s.Out) == 0 {
+			continue
+		}
+		var sum float64
+		if s.PExit < 0 || s.PExit > 1 {
+			return fmt.Errorf("core: %s state %d: PExit %v out of range", where, si, s.PExit)
+		}
+		if s.Sojourn != nil && !s.Sojourn.Valid() {
+			return fmt.Errorf("core: %s state %d: invalid state-level sojourn", where, si)
+		}
+		for _, tp := range s.Out {
+			if !tp.Event.Valid() {
+				return fmt.Errorf("core: %s state %d: unknown event type %d", where, si, tp.Event)
+			}
+			if tp.P < 0 || tp.P > 1+1e-9 {
+				return fmt.Errorf("core: %s state %d: probability %v out of range", where, si, tp.P)
+			}
+			if !tp.Sojourn.Valid() {
+				return fmt.Errorf("core: %s state %d event %v: invalid sojourn", where, si, tp.Event)
+			}
+			sum += tp.P
+		}
+		if math.Abs(sum-1) > 1e-6 {
+			return fmt.Errorf("core: %s state %d: probabilities sum to %v", where, si, sum)
 		}
 	}
 	return nil

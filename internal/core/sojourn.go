@@ -74,15 +74,22 @@ func (s SojournModel) Dist() stats.Dist {
 // Mean returns the model's expected duration in seconds.
 func (s SojournModel) Mean() float64 { return s.Dist().Mean() }
 
+// maxSojournSec bounds the values a valid sojourn model holds: about
+// 31 years, far past any generation horizon, and small enough that an
+// event time in milliseconds can never overflow. An exponential model's
+// rate is held to at least its inverse.
+const maxSojournSec = 1e9
+
 // Valid reports whether the model is structurally usable.
 func (s SojournModel) Valid() bool {
 	switch s.Kind {
 	case SojournTable:
-		return (&stats.QuantileTable{Q: s.Q}).Valid()
+		return (&stats.QuantileTable{Q: s.Q}).Valid() &&
+			s.Q[0] >= -maxSojournSec && s.Q[len(s.Q)-1] <= maxSojournSec
 	case SojournExp:
-		return s.Lambda > 0
+		return s.Lambda >= 1/maxSojournSec
 	case SojournConst:
-		return s.Value >= 0
+		return s.Value >= 0 && s.Value <= maxSojournSec
 	}
 	return false
 }

@@ -7,9 +7,9 @@ import (
 
 // BenchmarkLintAnalyze records the analysis cost in the bench ledger:
 // each analyzer alone over the fixture tree (the call-graph-backed
-// four — retain, hotcall, guardedby, goleak — pay for the substrate,
-// rebuilt per run), the twelve-analyzer suite over the same tree, and
-// the suite over the real module — so a
+// two — retain, hotcall — pay for the substrate, rebuilt per run), the
+// nine-analyzer suite over the same tree, and the suite over the real
+// module — so a
 // structural regression in the interprocedural substrate (fixpoint
 // blowup, CHA over a huge candidate set) shows up in BENCH_<date>.json
 // next to generation throughput. Type-checking is setup, not measured:
